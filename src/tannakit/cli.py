@@ -65,9 +65,12 @@ def _parse_field(desc):
         return QQ
     if isinstance(desc, dict) and set(desc) == {"Fp"}:
         p = desc["Fp"]
-        if not isinstance(p, int) or p < 2:
-            raise SpecError("Fp modulus must be a prime >= 2")
-        return Field(p)
+        if not isinstance(p, int):
+            raise SpecError("Fp modulus must be an integer")
+        try:
+            return Field(p)
+        except ValueError as e:
+            raise SpecError(str(e))
     raise SpecError("field must be \"Q\" or {\"Fp\": p}")
 
 
@@ -213,19 +216,29 @@ def _regular_context(a, nmax):
     return ctx
 
 
+def _bound(value, default, least):
+    """The --bound value, or `default` when the flag is absent."""
+    if value is None:
+        return default
+    if value < least:
+        raise SpecError("--bound must be at least %d" % least)
+    return value
+
+
 def cmd_analyze(spec, bound):
     a = _need_algebra(spec)
-    nmax = bound or DEFAULT_NMAX
+    nmax = _bound(bound, DEFAULT_NMAX, 2)
     out = {"dim_v": a.dim_v, "dim_r": a.relations.dim}
-    out["graded_dims"] = list(graded_dims(a, nmax))
-    dual = koszul_dual(a)
-    out["dual_graded_dims"] = list(graded_dims(dual, nmax))
     try:
         report = as_regular_check(a, nmax)
     except NotFiniteTypeError:
+        out["graded_dims"] = graded_dims(a, nmax)
+        out["dual_graded_dims"] = graded_dims(koszul_dual(a), nmax)
         out["finite_type"] = False
         out["as_regular"] = False
         return out
+    out["graded_dims"] = report.graded_dims
+    out["dual_graded_dims"] = report.dual_graded_dims
     out["finite_type"] = True
     out["as_regular"] = report.as_regular
     out["d"] = report.d
@@ -273,7 +286,7 @@ def _uaut_names(d):
 
 def cmd_uaut(spec, bound):
     a = _need_algebra(spec)
-    ctx = _regular_context(a, bound or DEFAULT_NMAX)
+    ctx = _regular_context(a, _bound(bound, DEFAULT_NMAX, 2))
     cat, f = regular_fiber(ctx, "D")
     bial = compile_coend(cat, f, gen_names=_uaut_names(ctx.d))
     try:
@@ -303,8 +316,8 @@ def _default_words(d, maxlen):
 
 def cmd_comod(spec, bound, words_arg):
     a = _need_algebra(spec)
+    maxlen = _bound(bound, DEFAULT_LENGTH_BOUND, 0)
     ctx = _regular_context(a, DEFAULT_NMAX)
-    maxlen = bound or DEFAULT_LENGTH_BOUND
     if words_arg:
         words = [parse_word(t.strip(), ctx.d) for t in words_arg.split(",")]
     else:
@@ -367,8 +380,7 @@ def cmd_classify(spec):
 
 def cmd_hilbert(spec, bound):
     a = _need_algebra(spec)
-    nmax = bound or DEFAULT_NMAX
-    return {"graded_dims": list(graded_dims(a, nmax))}
+    return {"graded_dims": graded_dims(a, _bound(bound, DEFAULT_NMAX, 0))}
 
 
 # ---------------------------------------------------------------------------

@@ -28,7 +28,6 @@ from .quadalg import (
     _coordinates_in_rows,
     as_regular_check,
     pairing_matrix,
-    relation_spaces,
 )
 
 
@@ -44,7 +43,7 @@ class StructureContext:
                              "invertible pairings)")
         self.report = report
         self.d = report.d
-        self.spaces = relation_spaces(algebra, self.d + 1)[: self.d]
+        self.spaces = report.spaces[: self.d]
         self._phi = {}
         self._theta = {}
         self._pairing_inv = {}

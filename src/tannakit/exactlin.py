@@ -49,12 +49,43 @@ class Mod:
         return "%d (mod %d)" % (self.v, self.p)
 
 
+# Miller-Rabin with these witnesses is a proof of primality below this bound
+# (Sorenson and Webster, Math. Comp. 86, 2017).
+_MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+_MR_LIMIT = 3317044064679887385961981
+
+
+def is_prime(n: int) -> bool:
+    """Deterministic primality test; refuses n >= _MR_LIMIT."""
+    if n >= _MR_LIMIT:
+        raise ValueError("primality is only decided below %d" % _MR_LIMIT)
+    if n < 2:
+        return False
+    for q in _MR_WITNESSES:
+        if n % q == 0:
+            return n == q
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d, s = d // 2, s + 1
+    for a in _MR_WITNESSES:
+        x = pow(a, d, n)
+        if x in (1, n - 1):
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
+            return False
+    return True
+
+
 class Field:
     """The rationals, or F_p for a user-chosen prime p."""
 
     def __init__(self, p=None):
-        if p is not None and p < 2:
-            raise ValueError("modulus must be a prime >= 2")
+        if p is not None and not is_prime(p):
+            raise ValueError("Fp modulus must be a prime, got %d" % p)
         self.p = p
 
     @property

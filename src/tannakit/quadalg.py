@@ -1,25 +1,25 @@
 """Quadratic algebras TV/(R): duals, graded dimensions, regularity test.
 
 A quadratic algebra is given by dim V and an exact subspace R of V (x) V.
-From that seed we compute the Koszul dual, the higher relation spaces
-R_l (intersections of shifted copies of R inside tensor powers), graded
-dimensions, and the Frobenius-style regularity report that gates the
+From that seed we compute the Koszul dual, the higher relation spaces R_l,
+graded dimensions, and the Frobenius-style regularity report that gates the
 universal Hopf algebra constructions downstream.
+
+Both sequences are built degree by degree (Polishchuk-Positselski,
+Quadratic Algebras, ch. 1-2), so matrix sizes follow dim R_l and dim A_k
+rather than the tensor powers V^(x)l:
+
+- R_l = (R_{l-1} (x) V) cap (V (x) R_{l-1}), intersecting the two spans
+  directly;
+- A_k = (A_{k-1} (x) V) / im(A_{k-2} (x) R), carrying the quotient map
+  A_{k-1} (x) V -> A_k from one degree to the next.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field as dfield
+from dataclasses import dataclass
 
-from .exactlin import (
-    MatrixExact,
-    QQ,
-    Subspace,
-    intersect_many,
-    kron,
-    kron_many,
-    rank,
-)
+from .exactlin import MatrixExact, QQ, Subspace, kernel, kron, rank
 
 
 class QuadraticAlgebra:
@@ -54,62 +54,50 @@ def koszul_dual(a: QuadraticAlgebra) -> QuadraticAlgebra:
     return QuadraticAlgebra(a.field, a.dim_v, dual_rel, names)
 
 
-def _shifted_relation_space(a: QuadraticAlgebra, i, j) -> Subspace:
-    """V^i (x) R (x) V^j inside V^(i+2+j), as a Subspace."""
-    n = a.dim_v
-    left = MatrixExact.identity(a.field, n**i)
-    right = MatrixExact.identity(a.field, n**j)
-    rows = kron_many([left, a.relations.basis, right])
-    return Subspace.from_matrix_rows(rows)
-
-
 def relation_spaces(a: QuadraticAlgebra, lmax: int):
-    """[R_1, ..., R_lmax] with R_1 = V, R_2 = R and
-    R_l the intersection of all V^i (x) R (x) V^j with i + j + 2 = l."""
+    """[R_1, ..., R_lmax] with R_1 = V, R_2 = R and, for l >= 3,
+    R_l = (R_{l-1} (x) V) cap (V (x) R_{l-1}), which is the intersection of
+    all V^i (x) R (x) V^j with i + j + 2 = l."""
     if lmax < 1:
         raise ValueError("lmax must be >= 1")
+    ident = MatrixExact.identity(a.field, a.dim_v)
     out = [Subspace.full(a.field, a.dim_v)]
     if lmax >= 2:
         out.append(Subspace.from_matrix_rows(a.relations.basis))
-    for l in range(3, lmax + 1):
-        parts = [_shifted_relation_space(a, i, l - 2 - i) for i in range(l - 1)]
-        out.append(intersect_many(parts))
+    for _ in range(3, lmax + 1):
+        prev = out[-1].basis
+        out.append(_intersect_spans(kron(prev, ident), kron(ident, prev)))
     return out
 
 
-@dataclass
-class GradedDims:
-    dims: list
-
-    def __getitem__(self, n):
-        return self.dims[n]
-
-    def __len__(self):
-        return len(self.dims)
-
-    def __iter__(self):
-        return iter(self.dims)
-
-    def __eq__(self, other):
-        other_dims = other.dims if isinstance(other, GradedDims) else list(other)
-        return self.dims == other_dims
+def _intersect_spans(top: MatrixExact, bottom: MatrixExact) -> Subspace:
+    """span(top) cap span(bottom) for matrices with independent rows: the
+    vectors x . top over the solutions of x . top + y . bottom = 0."""
+    sols = kernel(top.stack(bottom).transpose()).basis
+    x = MatrixExact(top.field, sols.rows, top.rows)
+    x.entries = [row[: top.rows] for row in sols.entries]
+    return Subspace.from_matrix_rows(x * top)
 
 
-def graded_dims(a: QuadraticAlgebra, nmax: int) -> GradedDims:
-    """dim A_n for n = 0..nmax; A_n = V^n / sum of shifted relation spaces."""
+def graded_dims(a: QuadraticAlgebra, nmax: int) -> list:
+    """[dim A_0, ..., dim A_nmax].
+
+    A_k is the quotient of A_{k-1} (x) V by the image of A_{k-2} (x) R under
+    pi_{k-1} (x) id_V, where pi_k : A_{k-1} (x) V -> A_k is the quotient map
+    (a matrix acting on row vectors) carried over from the previous degree.
+    """
     if nmax < 0:
         raise ValueError("nmax must be >= 0")
-    n = a.dim_v
-    dims = [1]
-    if nmax >= 1:
-        dims.append(n)
-    for deg in range(2, nmax + 1):
-        stacked = None
-        for i in range(deg - 1):
-            part = _shifted_relation_space(a, i, deg - 2 - i).basis
-            stacked = part if stacked is None else stacked.stack(part)
-        dims.append(n**deg - rank(stacked))
-    return GradedDims(dims)
+    ident = MatrixExact.identity(a.field, a.dim_v)
+    dims = [1, a.dim_v][: nmax + 1]
+    pi = ident  # pi_1 : A_0 (x) V -> A_1
+    for _ in range(2, nmax + 1):
+        shifted = kron(MatrixExact.identity(a.field, dims[-2]), a.relations.basis)
+        # The quotient map's columns are the functionals vanishing on the
+        # degree-k relations.
+        pi = kernel(shifted * kron(pi, ident)).basis.transpose()
+        dims.append(pi.cols)
+    return dims
 
 
 class NotFiniteTypeError(ValueError):
@@ -124,6 +112,9 @@ class ASReport:
     frobenius_top_one: bool
     pairings_nondegenerate: bool
     koszul_series_consistent: bool
+    spaces: list                 # R_1 .. R_nmax as Subspaces
+    graded_dims: list            # dim A_0 .. dim A_nmax
+    dual_graded_dims: list       # dim A^!_0 .. dim A^!_nmax
 
     @property
     def as_regular(self):
@@ -222,6 +213,9 @@ def as_regular_check(a: QuadraticAlgebra, nmax: int) -> ASReport:
         frobenius_top_one=frobenius_top_one,
         pairings_nondegenerate=nondeg,
         koszul_series_consistent=consistent,
+        spaces=spaces,
+        graded_dims=h_a,
+        dual_graded_dims=h_dual,
     )
 
 

@@ -1,5 +1,7 @@
 import json
 import os
+import runpy
+import sys
 
 import pytest
 
@@ -65,10 +67,32 @@ def test_malformed_inputs():
 def test_analyze_kxyz(capsys):
     code, out, _ = run_cli(capsys, "analyze", data("kxyz.json"))
     assert code == 0
-    doc = json.loads(out)
-    assert doc["as_regular"] is True
-    assert doc["d"] == 3
-    assert doc["relation_dims"][:3] == [3, 3, 1]
+    assert json.loads(out) == {
+        "as_regular": True,
+        "d": 3,
+        "dim_r": 3,
+        "dim_v": 3,
+        "dual_graded_dims": [1, 3, 3, 1, 0, 0, 0],
+        "finite_type": True,
+        "frobenius_top_one": True,
+        "graded_dims": [1, 3, 6, 10, 15, 21, 28],
+        "koszul_series_consistent": True,
+        "pairings_nondegenerate": True,
+        "relation_dims": [3, 3, 1, 0],
+    }
+
+
+def test_analyze_not_finite_type_keeps_graded_dims(capsys, tmp_path):
+    path = tmp_path / "xsq.json"
+    path.write_text(json.dumps({
+        "dim_v": 2, "relations": [[{"coef": "1", "word": [0, 0]}]]}))
+    code, out, _ = run_cli(capsys, "analyze", str(path), "--bound", "5")
+    assert code == 0
+    assert json.loads(out) == {
+        "as_regular": False, "dim_r": 1, "dim_v": 2, "finite_type": False,
+        "graded_dims": [1, 2, 3, 5, 8, 13],
+        "dual_graded_dims": [1, 2, 1, 1, 1, 1],
+    }
 
 
 def test_uend_cross_check(capsys):
@@ -104,6 +128,46 @@ def test_hilbert(capsys):
                            "--bound", "4")
     assert code == 0
     assert json.loads(out)["graded_dims"] == [1, 2, 3, 4, 5]
+
+
+def test_hilbert_bound_zero(capsys):
+    code, out, _ = run_cli(capsys, "hilbert", data("kxy.json"), "--bound", "0")
+    assert code == 0
+    assert json.loads(out)["graded_dims"] == [1]
+
+
+@pytest.mark.parametrize("argv", [
+    ("hilbert", "kxy.json", "--bound", "-3"),
+    ("analyze", "kxy.json", "--bound", "1"),
+    ("analyze", "kxy.json", "--bound", "-3"),
+    ("uaut", "kxy.json", "--bound", "1"),
+    ("comod", "kxy.json", "--bound", "-1"),
+])
+def test_bad_bound_is_an_input_error(capsys, argv):
+    command, spec, *flags = argv
+    code, out, err = run_cli(capsys, command, data(spec), *flags)
+    assert code == 1 and out == ""
+    assert err.count("\n") == 1 and "--bound must be at least" in err
+
+
+def test_composite_modulus_rejected(capsys, tmp_path):
+    path = tmp_path / "fp4.json"
+    path.write_text(json.dumps({
+        "field": {"Fp": 4}, "dim_v": 2,
+        "relations": [[{"coef": "1", "word": [0, 1]},
+                       {"coef": "-1", "word": [1, 0]}]]}))
+    code, out, err = run_cli(capsys, "hilbert", str(path))
+    assert code == 1 and out == ""
+    assert err == "error: Fp modulus must be a prime, got 4\n"
+
+
+def test_python_dash_m_entry_point(capsys, monkeypatch):
+    monkeypatch.setattr(sys, "argv",
+                        ["tannakit", "hilbert", data("kxy.json"), "--bound", "3"])
+    with pytest.raises(SystemExit) as exc:
+        runpy.run_module("tannakit", run_name="__main__")
+    assert exc.value.code == 0
+    assert json.loads(capsys.readouterr().out)["graded_dims"] == [1, 2, 3, 4]
 
 
 def test_poset_queries(capsys):

@@ -1,6 +1,7 @@
 import random
 from fractions import Fraction
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from tannakit.exactlin import (
@@ -9,6 +10,7 @@ from tannakit.exactlin import (
     QQ,
     Subspace,
     intersect,
+    is_prime,
     kernel,
     kron,
     rank,
@@ -113,6 +115,27 @@ def test_prime_field_arithmetic():
     inv = right_inverse(m)
     assert m * inv == MatrixExact.identity(f5, 2)
     assert f5.of("1/2") == f5.of(3)
+
+
+def test_is_prime_matches_trial_division():
+    def trial(n):
+        return n > 1 and all(n % k for k in range(2, int(n**0.5) + 1))
+
+    assert [n for n in range(3000) if is_prime(n)] == [
+        n for n in range(3000) if trial(n)
+    ]
+    # strong pseudoprimes to the first 4 and the first 9 prime bases, and
+    # primes near 2^61 and 2^64
+    assert not is_prime(3215031751)
+    assert not is_prime(3825123056546413051)
+    assert is_prime(2**61 - 1) and is_prime(2**64 - 59)
+
+
+# 2^89 - 1 is prime but beyond the range the test decides
+@pytest.mark.parametrize("p", [0, 1, 4, 9, 561, 32003 * 32003, 2**89 - 1])
+def test_field_rejects_non_prime_modulus(p):
+    with pytest.raises(ValueError):
+        Field(p)
 
 
 def test_field_serialization():

@@ -1,6 +1,9 @@
-import pytest
+from math import comb
 
-from tannakit.exactlin import QQ, Subspace, rank
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from tannakit.exactlin import QQ, Field, Subspace, rank
 from tannakit.quadalg import (
     NotFiniteTypeError,
     QuadraticAlgebra,
@@ -15,7 +18,7 @@ from tannakit.quadalg import (
     relation_spaces,
 )
 
-from oracles import naive_graded_dim
+from oracles import naive_graded_dim, naive_rank
 
 
 CORPUS = {
@@ -121,3 +124,92 @@ def test_hilbert_series_product_identity():
         hd = graded_dims(koszul_dual(a), 6)
         for n in range(1, 7):
             assert sum(h[n - k] * (-1) ** k * hd[k] for k in range(n + 1)) == 0, name
+
+
+def test_kxyzw_graded_dims_and_regularity():
+    # out of reach of elimination in the full tensor powers V^(x)k
+    a = polynomial_ring(n=4)
+    assert graded_dims(a, 7) == [comb(k + 3, 3) for k in range(8)]
+    report = as_regular_check(a, 6)
+    assert report.as_regular
+    assert report.d == 4
+    assert report.relation_dims == [4, 6, 4, 1, 0]
+
+
+# Relation sets for the recursion tests: a non-Koszul algebra of finite type
+# (relations zy, yx - z^2; the Hilbert series identity fails in degree 4), a
+# non-Koszul one whose dual is not of finite type (x^2, yx - 2y^2), and
+# random ones.  Relations over three generators have at most two terms
+# (monomial or binomial) so that the oracle's dense elimination stays cheap.
+NON_KOSZUL = [
+    (3, [[0, 0, 0, 0, 0, 0, 0, 1, 0], [0, 0, 0, 1, 0, 0, 0, 0, -1]]),
+    (3, [[1, 0, 0, 0, 0, 0, 0, 0, 0], [0, 0, 0, -1, 2, 0, 0, 0, 0]]),
+]
+
+
+def test_non_koszul_series_detected():
+    n, vectors = NON_KOSZUL[0]
+    report = as_regular_check(QuadraticAlgebra.from_relation_vectors(QQ, n, vectors), 6)
+    assert report.graded_dims[:5] == [1, 3, 7, 15, 33]
+    assert report.dual_graded_dims == [1, 3, 2, 0, 0, 0, 0]
+    assert not report.koszul_series_consistent
+
+
+@st.composite
+def random_relations(draw):
+    n = draw(st.sampled_from((2, 3)))
+    term = st.tuples(st.integers(0, n * n - 1), st.sampled_from((1, -1, 2, -3)))
+    rels = draw(st.lists(st.lists(term, min_size=1, max_size=4 if n == 2 else 2),
+                         max_size=n * n))
+    vectors = []
+    for terms in rels:
+        v = [0] * (n * n)
+        for word, coef in terms:
+            v[word] += coef
+        vectors.append(v)
+    return n, vectors
+
+
+relation_sets = st.one_of(st.sampled_from(NON_KOSZUL), random_relations())
+
+# Highest degree the dense oracle checks: 32 columns for n = 2, 81 for n = 3.
+ORACLE_DEGREE = {2: 5, 3: 4}
+
+
+def shifted_rows(vectors, n, i, j):
+    """Spanning rows of V^i (x) R (x) V^j inside V^(i+2+j)."""
+    rows = []
+    for v in vectors:
+        for left in range(n**i):
+            for right in range(n**j):
+                row = [0] * n ** (i + 2 + j)
+                for mid, c in enumerate(v):
+                    row[(left * n * n + mid) * n**j + right] = c
+                rows.append(row)
+    return rows
+
+
+@settings(max_examples=20, deadline=None)
+@given(relation_sets)
+def test_recursions_match_oracle(example):
+    n, vectors = example
+    a = QuadraticAlgebra.from_relation_vectors(QQ, n, vectors)
+    top = ORACLE_DEGREE[n]
+    dims = graded_dims(a, top)
+    assert dims == [naive_graded_dim(vectors, n, k) for k in range(top + 1)]
+    perp = a.relations.annihilator().basis.entries
+    for l, space in enumerate(relation_spaces(a, top), start=1):
+        # dim R_l(A) = dim A^!_l, and A^! has the relations R-perp
+        assert space.dim == naive_graded_dim(perp, n, l), l
+        for i in range(l - 1):
+            rows = shifted_rows(vectors, n, i, l - 2 - i)
+            assert naive_rank(rows + space.basis.entries) == naive_rank(rows), (l, i)
+
+
+@settings(max_examples=40, deadline=None)
+@given(relation_sets)
+def test_relation_spaces_match_dual_dims_mod_p(example):
+    n, vectors = example
+    a = QuadraticAlgebra.from_relation_vectors(Field(32003), n, vectors)
+    dual_dims = graded_dims(koszul_dual(a), 5)
+    assert [s.dim for s in relation_spaces(a, 5)] == dual_dims[1:]
